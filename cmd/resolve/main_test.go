@@ -7,6 +7,7 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -69,5 +70,69 @@ func TestRunResolveErrors(t *testing.T) {
 	}
 	if err := run([]string{"-h"}, &stdout, &stderr); !errors.Is(err, flag.ErrHelp) {
 		t.Fatalf("-h: want flag.ErrHelp, got %v", err)
+	}
+}
+
+// goldenActive and goldenCensys are a two-vantage observation corpus covering
+// every shape the report counts: all three protocols, both families, an SSH
+// set joined to a BGP set through a shared address (the cross-protocol
+// union), a set spanning IPv4 and IPv6 (dual-stack), singletons, and
+// observations repeated within and across files.
+const goldenActive = `{"addr":"192.0.2.1","proto":"SSH","digest":"ssh-a"}
+{"addr":"192.0.2.2","proto":"SSH","digest":"ssh-a"}
+{"addr":"2001:db8::1","proto":"SSH","digest":"ssh-a"}
+{"addr":"192.0.2.3","proto":"SSH","digest":"ssh-b"}
+{"addr":"192.0.2.2","proto":"BGP","digest":"bgp-a"}
+{"addr":"192.0.2.4","proto":"BGP","digest":"bgp-a"}
+{"addr":"2001:db8::1","proto":"SNMPv3","digest":"snmp-a"}
+{"addr":"2001:db8::2","proto":"SNMPv3","digest":"snmp-a"}
+{"addr":"192.0.2.4","proto":"BGP","digest":"bgp-a"}
+`
+
+const goldenCensys = `{"addr":"192.0.2.1","proto":"SSH","digest":"ssh-a"}
+{"addr":"192.0.2.2","proto":"SSH","digest":"ssh-a"}
+{"addr":"2001:db8::2","proto":"SNMPv3","digest":"snmp-a"}
+{"addr":"198.51.100.1","proto":"SNMPv3","digest":"snmp-b"}
+{"addr":"198.51.100.2","proto":"SNMPv3","digest":"snmp-b"}
+{"addr":"2001:db8::10","proto":"BGP","digest":"bgp-b"}
+{"addr":"2001:db8::11","proto":"BGP","digest":"bgp-b"}
+{"addr":"2001:db8::20","proto":"SSH","digest":"ssh-c"}
+{"addr":"2001:db8::21","proto":"SSH","digest":"ssh-c"}
+{"addr":"198.51.100.9","proto":"BGP","digest":"bgp-c"}
+`
+
+// goldenReport is resolve -sets over the two files above, byte for byte.
+const goldenReport = `observations: SSH=8 BGP=6 SNMPv3=5
+SSH     alias sets: IPv4 1 (covering 2 addrs), IPv6 1 (covering 2 addrs)
+BGP     alias sets: IPv4 1 (covering 2 addrs), IPv6 1 (covering 2 addrs)
+SNMPv3  alias sets: IPv4 1 (covering 2 addrs), IPv6 1 (covering 2 addrs)
+union   alias sets: IPv4 2 (covering 5 addrs), IPv6 3 (covering 6 addrs)
+dual-stack sets: 1
+set 192.0.2.1,192.0.2.2,192.0.2.4
+set 198.51.100.1,198.51.100.2
+set 2001:db8::1,2001:db8::2
+set 2001:db8::10,2001:db8::11
+set 2001:db8::20,2001:db8::21
+`
+
+// TestRunResolveGolden pins resolve's full report — per-protocol counts, the
+// union, the dual-stack count and the set dump — on the two-file corpus.
+func TestRunResolveGolden(t *testing.T) {
+	dir := t.TempDir()
+	var paths []string
+	for name, body := range map[string]string{"active.jsonl": goldenActive, "censys.jsonl": goldenCensys} {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+	var stdout, stderr bytes.Buffer
+	if err := run(append([]string{"-sets"}, paths...), &stdout, &stderr); err != nil {
+		t.Fatalf("run: %v (stderr %q)", err, stderr.String())
+	}
+	if got := stdout.String(); got != goldenReport {
+		t.Fatalf("report drifted:\n--- got\n%s--- want\n%s", got, goldenReport)
 	}
 }
