@@ -83,14 +83,15 @@ type Common struct {
 	// (0.25 for Run, the preset's own scale for scenarios).
 	Scale float64
 	// Backend names the alias-resolution strategy every analysis view
-	// routes through: "batch" (default), "streaming" (observations consumed
-	// online while the scans are in flight), "sharded" (identifier-space
-	// partitioning across cores), or "distributed" (identifier-space
-	// partitioning across worker processes; the invoking binary must be
-	// worker-capable — see RunShardWorkerIfRequested). All backends produce
-	// byte-identical alias sets; see BackendNames.
+	// routes through: "batch" (default) and "streaming" (two names for one
+	// in-process session, fed while the scans are in flight), "sharded"
+	// (the same session split into identifier-hash shards), or
+	// "distributed" (identifier-space partitioning across worker processes;
+	// the invoking binary must be worker-capable — see
+	// RunShardWorkerIfRequested). All backends produce byte-identical alias
+	// sets; see BackendNames.
 	Backend string
-	// ShardWorkers sizes the partitioned backends: goroutines for
+	// ShardWorkers sizes the partitioned backends: shards for
 	// "sharded" (0 picks GOMAXPROCS), worker processes for "distributed"
 	// (0 picks 2). The unpartitioned backends ignore it.
 	ShardWorkers int
@@ -126,11 +127,6 @@ type StudyOptions struct {
 	// disables churn.
 	ChurnFraction float64
 }
-
-// Options is the pre-consolidation name for StudyOptions.
-//
-// Deprecated: use StudyOptions. The alias is kept for one release.
-type Options = StudyOptions
 
 // Study is a completed measurement: world, datasets, and analyses.
 type Study struct {

@@ -110,7 +110,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	workers := fs.Int("workers", 256, "scan concurrency")
 	parallelism := fs.Int("parallelism", 0, "concurrent protocol sweeps (0 = all at once, 1 = sequential)")
 	backend := fs.String("backend", "", "resolver backend: batch|streaming|sharded|distributed (default batch)")
-	shardWorkers := fs.Int("shard-workers", 0, "shard fan-out: goroutines for -backend sharded, worker processes for -backend distributed (0 = each backend's default)")
+	shardWorkers := fs.Int("shard-workers", 0, "shard fan-out: shards for -backend sharded, worker processes for -backend distributed (0 = each backend's default)")
 	streamCollect := fs.Bool("stream-collect", false, "out-of-core collection: spill observations to disk during the scan and replay them in bounded batches — identical tables, peak memory O(alias-set output) instead of O(observations)")
 	memBudget := fs.Int64("mem-budget", 0, "advisory memory budget in bytes for the -stream-collect replay (sizes the log readahead; 0 = default)")
 	table := fs.String("table", "", "regenerate a single table (1-6)")

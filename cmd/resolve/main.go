@@ -17,9 +17,9 @@ import (
 	"os"
 
 	"aliaslimit/internal/alias"
-	"aliaslimit/internal/core"
 	"aliaslimit/internal/ident"
 	"aliaslimit/internal/obsfile"
+	"aliaslimit/internal/resolver"
 )
 
 // errBadFlags marks argument errors the flag package (or run itself) has
@@ -56,25 +56,37 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return errBadFlags
 	}
 
-	r := core.NewResolver()
+	sess, _ := resolver.NewBatch().Open(resolver.Options{}) // in-process: never fails
+	defer sess.Close()
+	counts := make(map[ident.Protocol]int)
 	for _, path := range fs.Args() {
-		if err := load(r, path); err != nil {
+		obs, err := load(path)
+		if err != nil {
 			return err
+		}
+		for _, o := range obs {
+			sess.Observe(o)
+			counts[o.ID.Proto]++
 		}
 	}
 
-	sum := r.Summarize()
 	fmt.Fprintf(stdout, "observations: SSH=%d BGP=%d SNMPv3=%d\n",
-		sum.ObsPerProtocol["SSH"], sum.ObsPerProtocol["BGP"], sum.ObsPerProtocol["SNMPv3"])
+		counts[ident.SSH], counts[ident.BGP], counts[ident.SNMP])
+	var all, v4s, v6s [][]alias.Set
 	for _, p := range ident.Protocols {
-		v4 := r.NonSingletonAliasSets(p, true)
-		v6 := r.NonSingletonAliasSets(p, false)
+		sets := sess.Sets(p)
+		v4 := alias.NonSingleton(alias.FilterFamily(sets, true))
+		v6 := alias.NonSingleton(alias.FilterFamily(sets, false))
+		all, v4s, v6s = append(all, sets), append(v4s, v4), append(v6s, v6)
 		fmt.Fprintf(stdout, "%-7s alias sets: IPv4 %d (covering %d addrs), IPv6 %d (covering %d addrs)\n",
 			p, len(v4), alias.CoveredAddrs(v4), len(v6), alias.CoveredAddrs(v6))
 	}
-	unionV4 := r.UnionAliasSets(true)
-	unionV6 := r.UnionAliasSets(false)
-	ds := r.DualStackSets()
+	// The union merges each family's non-singleton sets (§4.1); dual-stack
+	// sets come from merging every set, singletons included, since a
+	// dual-stack pair may be one IPv4 and one IPv6 observation (§2.4).
+	unionV4 := alias.NonSingleton(sess.Merged(v4s...))
+	unionV6 := alias.NonSingleton(sess.Merged(v6s...))
+	ds := alias.DualStack(sess.Merged(all...))
 	fmt.Fprintf(stdout, "union   alias sets: IPv4 %d (covering %d addrs), IPv6 %d (covering %d addrs)\n",
 		len(unionV4), alias.CoveredAddrs(unionV4), len(unionV6), alias.CoveredAddrs(unionV6))
 	fmt.Fprintf(stdout, "dual-stack sets: %d\n", len(ds))
@@ -90,19 +102,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// load streams one JSONL file into the resolver.
-func load(r *core.Resolver, path string) error {
+// load reads one JSONL observation file.
+func load(path string) ([]alias.Observation, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer f.Close()
 	obs, err := obsfile.Read(f)
 	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	for _, o := range obs {
-		r.AddObservation(o)
-	}
-	return nil
+	return obs, nil
 }

@@ -82,7 +82,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	epochs := fs.Int("epochs", 1, "snapshot rounds per scenario; >1 runs the longitudinal pipeline")
 	decay := fs.Float64("decay", 0, "decay factor for the longitudinal decay-weighted merge (0 = default 0.5)")
 	backend := fs.String("backend", "", "resolver backend: batch|streaming|sharded|distributed (default batch), or 'all' to run every backend and require byte-identical alias sets")
-	shardWorkers := fs.Int("shard-workers", 0, "shard fan-out: goroutines for the sharded backend, worker processes for the distributed backend (0 = each backend's default)")
+	shardWorkers := fs.Int("shard-workers", 0, "shard fan-out: shards for the sharded backend, worker processes for the distributed backend (0 = each backend's default)")
 	streamCollect := fs.Bool("stream-collect", false, "out-of-core collection: spill observations to disk during the scan and replay them through the resolver in bounded batches — identical alias sets, peak memory O(alias-set output) instead of O(observations); required by stream-only worlds (megascale-x100)")
 	memBudget := fs.Int64("mem-budget", 0, "advisory memory budget in bytes for the -stream-collect replay (sizes the log readahead; 0 = default)")
 	logDir := fs.String("log", "", "write a durable observation log + epoch checkpoints under this directory (single preset, single backend); a killed run continues with -resume")

@@ -19,8 +19,8 @@ import (
 // Reset→Observe×N→AppendSets cycle over a stable identifier population
 // performs no allocations (the alloc gate in BENCH_baseline.json enforces
 // ≤ 10 allocs/op). The zero value is ready to use. A Grouper is not safe for
-// concurrent use; callers that share one must serialise access (resolver's
-// Stream guards its grouper with a mutex, Batch pools them).
+// concurrent use; callers that share one must serialise access (each shard
+// of a resolver session guards its grouper with a mutex).
 type Grouper struct {
 	ids     map[ident.Identifier]int32
 	buckets [][]netip.Addr

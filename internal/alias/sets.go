@@ -159,8 +159,7 @@ type groupPair struct {
 //
 // Observations are folded one at a time into per-identifier sorted buckets
 // (a Grouper), so the input slice is never copied, globally sorted, or even
-// required — the streaming and sharded backends feed the same core
-// incrementally. GroupSorted keeps the retired global-sort implementation as
+// required — resolver sessions feed the same core incrementally. GroupSorted keeps the retired global-sort implementation as
 // the differential reference.
 func Group(obs []Observation) []Set {
 	var g Grouper

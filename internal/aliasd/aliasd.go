@@ -12,8 +12,8 @@
 //
 //   - Ingest sessions accept NDJSON observation streams (POST /v1/ingest,
 //     one obsfile.Record per line) into a bounded queue drained by a
-//     dedicated worker into the streaming resolver backend's live
-//     structures (resolver.Sink). Alias sets are therefore grouped online:
+//     dedicated worker into a resolver session (the streaming backend by
+//     default). Alias sets are therefore grouped online:
 //     a query arriving mid-ingest sees the canonical partition of every
 //     observation applied so far, and the final partitions are
 //     byte-identical to the batch backend over the same observations —

@@ -1,7 +1,7 @@
 // Package distres is the distributed incarnation of the sharded resolver
 // backend: the identifier space is partitioned across worker *processes*
-// instead of goroutines, with one deterministic cross-shard merge at the
-// coordinator. It registers itself with internal/resolver as the
+// instead of in-process shards, with one deterministic cross-shard merge at
+// the coordinator. It registers itself with internal/resolver as the
 // "distributed" backend — linking this package is enabling it.
 //
 // # Topology
@@ -18,7 +18,7 @@
 //
 // Each coordinator session creates one remote aliasd session per worker
 // (the ordinary JSON POST /v1/sessions, backend "batch" — the shard state
-// is the same pooled Grouper arena every in-process backend folds through)
+// is the same alias.Grouper arena every in-process session folds through)
 // and then speaks the binary wire protocol (wire.go) against POST
 // /v1/sessions/{id}/resolve, the fast path that bypasses the NDJSON ingest
 // queue. HTTP /v1 NDJSON stays for humans; the frames are for the fleet.
@@ -26,7 +26,7 @@
 // # Determinism
 //
 // Observations route to workers by resolver.ShardRoute — the same
-// identifier-hash map the in-process sharded backend uses — so a group
+// identifier-hash map the in-process sharded session uses — so a group
 // never straddles workers, and concatenating the workers' canonical alias
 // sets and sorting (alias.SortSets) is byte-identical to the single-arena
 // batch grouping. Merged flattens its partitions, deals them round-robin to
@@ -104,11 +104,6 @@ func New(workers int) *Backend {
 
 // Name implements resolver.Backend.
 func (b *Backend) Name() string { return "distributed" }
-
-// FeedLive implements resolver.LiveFeeder: Observe is a constant-time local
-// buffer append (batches ship to the workers at the first Sets call), so
-// collection can stream into a distributed session directly.
-func (b *Backend) FeedLive() bool { return true }
 
 // Workers returns the worker-process count the cluster runs (or will run).
 func (b *Backend) Workers() int {

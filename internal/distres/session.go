@@ -34,9 +34,9 @@ type session struct {
 }
 
 // openSession creates one remote batch session per worker. The remote
-// backend is "batch": each shard's state is the pooled Grouper arena plus
-// the persistent interning table, exactly the structures the in-process
-// backends fold through — run remotely.
+// backend is "batch": each shard's state is a Grouper arena plus the
+// persistent interning table, exactly the structures the in-process
+// session folds through — run remotely.
 func openSession(c *Cluster) (resolver.Session, error) {
 	s := &session{
 		cluster: c,
@@ -88,7 +88,7 @@ func (s *session) Err() error {
 
 // Observe implements resolver.Session by routing the observation to its
 // identifier's shard worker — resolver.ShardRoute, the same map the
-// in-process sharded backend uses, so a group never straddles workers.
+// in-process sharded session uses, so a group never straddles workers.
 func (s *session) Observe(o alias.Observation) {
 	w := resolver.ShardRoute(o.ID, len(s.ids))
 	s.mu.Lock()
@@ -242,8 +242,8 @@ func (s *session) fetchSets(w int, req []byte, wantOp byte) ([]alias.Set, error)
 
 // Merged implements resolver.Session: flatten the partitions, deal the sets
 // round-robin to the workers for shard-local union-find collapse, and merge
-// the partial partitions in one final pass — the sharded backend's merge
-// shape across processes. Small inputs collapse locally: shipping them
+// the partial partitions in one final pass at the coordinator — union-find
+// closure is associative, so the result equals alias.Merge's. Small inputs collapse locally: shipping them
 // would spend more wire than the fan-out saves. A failed session returns
 // nil.
 func (s *session) Merged(groups ...[]alias.Set) []alias.Set {

@@ -244,8 +244,11 @@ func decodeSetRecords(b []byte, dst []alias.Set) ([]alias.Set, error) {
 		}
 		n := int(binary.LittleEndian.Uint32(b))
 		b = b[4:]
-		if n < 1 || n > 1<<24 {
-			return dst, fmt.Errorf("distres: bad set size %d", n)
+		// The smallest encoded address takes 5 bytes, so checking the
+		// declared size against the bytes left bounds the allocation below
+		// by the input.
+		if n < 1 || n > len(b)/5 {
+			return dst, fmt.Errorf("distres: bad set size %d for %d remaining bytes", n, len(b))
 		}
 		addrs := make([]netip.Addr, 0, n)
 		for i := 0; i < n; i++ {

@@ -1,9 +1,11 @@
 package distres
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net/netip"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"aliaslimit/internal/alias"
@@ -190,4 +192,26 @@ func TestCorruptionAndTruncationRejected(t *testing.T) {
 			t.Fatal("garbage accepted")
 		}
 	})
+}
+
+// TestSetRecordSizeBoundedByInput: a 4-byte set record declaring 1<<24
+// addresses is rejected before anything is allocated for them — a hostile
+// peer cannot buy a 400 MiB allocation with four bytes.
+func TestSetRecordSizeBoundedByInput(t *testing.T) {
+	rec := binary.LittleEndian.AppendUint32(nil, 1<<24)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := decodeSetRecords(rec, nil)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("oversized set record accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("rejecting the record allocated %d bytes, want < 1 MiB", grew)
+	}
+	// A record declaring exactly as many addresses as it carries decodes.
+	ok := appendAddr(binary.LittleEndian.AppendUint32(nil, 1), netip.MustParseAddr("192.0.2.1"))
+	if sets, err := decodeSetRecords(ok, nil); err != nil || len(sets) != 1 {
+		t.Fatalf("well-formed record: sets %v, err %v", sets, err)
+	}
 }

@@ -20,7 +20,7 @@ import (
 
 // ObservationSink receives identifier observations the moment the scan
 // pipeline extracts them — while the SYN sweep and later grabs are still in
-// flight — so a streaming resolver backend can maintain alias sets online.
+// flight — so a resolver session can maintain alias sets online.
 // Worker pools call Observe concurrently with no ordering guarantee, so
 // implementations must be concurrency-safe and order-insensitive.
 type ObservationSink interface {
@@ -60,7 +60,7 @@ type ScanOptions struct {
 	Parallelism int
 	// Sink, when non-nil, is fed every extracted observation live from the
 	// scan worker goroutines. The Dataset contents are unaffected: the sink
-	// is a tap, not a detour. EnvSeries installs the streaming backend's
+	// is a tap, not a detour. EnvSeries installs its resolver sessions'
 	// sink here.
 	Sink ObservationSink
 	// DiscardObs turns the tap into the only output: scan workers deliver

@@ -56,10 +56,9 @@ type Options struct {
 	Faults netsim.Faults
 	// Backend is the alias-resolution strategy every analysis view routes
 	// through; nil selects a fresh batch backend per environment. The choice
-	// never changes any view's bytes — only the execution strategy. A
-	// live-feeding backend (streaming, distributed — see resolver.FeedsLive)
-	// additionally has per-dataset sessions fed during collection, so every
-	// dataset's alias sets are already resolved when the scans return.
+	// never changes any view's bytes — only the execution strategy. Each
+	// dataset's session is fed during collection, so its alias sets are
+	// already resolved when the scans return.
 	Backend resolver.Backend
 	// Log, when set, makes the run durable: both campaigns' scan sinks tee
 	// every observation into the log writer during collection, and each

@@ -11,8 +11,8 @@ import (
 // epoch's scans yielded, so the dataset split (Active, Censys, and their
 // union), the non-standard-port exclusion, and every partition view come
 // out byte-identical to the in-RAM run that wrote the log — on any resolver
-// backend, which is how the resume path proves the log's integrity through
-// the sets-digest gate.
+// backend (nil selects batch), which is how the resume path proves the
+// log's integrity through the sets-digest gate.
 //
 // The returned Env has a nil World: only dataset- and partition-level views
 // are valid (everything scenario.ScoredPartitions reads). World-dependent
@@ -34,7 +34,18 @@ func ReplayEnv(snap *obslog.Snapshot, backend resolver.Backend) (*Env, error) {
 		Censys: censys,
 		Both:   Union("Union", active, censys),
 	}
-	if err := env.seal(backend, nil, nil, nil); err != nil {
+	if backend == nil {
+		backend = resolver.NewBatch()
+	}
+	ses, err := openSessions(backend)
+	if err != nil {
+		return nil, err
+	}
+	for i, d := range []*Dataset{env.Active, env.Censys, env.Both} {
+		d.feed(ses[i])
+	}
+	if err := env.seal(backend, ses); err != nil {
+		closeSessions(ses)
 		return nil, err
 	}
 	return env, nil

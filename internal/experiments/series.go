@@ -13,8 +13,8 @@ import (
 )
 
 // sessionSink adapts an open resolver session to the ObservationSink shape
-// collection feeds — the seam that lets any live-feeding backend (streaming
-// goroutines, distributed worker processes) consume a campaign online.
+// collection feeds — the seam through which every backend, in-process or
+// distributed across worker processes, consumes a campaign online.
 type sessionSink struct{ s resolver.Session }
 
 // Observe implements ObservationSink. The protocol tag is redundant with the
@@ -111,6 +111,9 @@ func NewEnvSeries(opts SeriesOptions) (*EnvSeries, error) {
 	if opts.EpochGap == 0 {
 		opts.EpochGap = 35 * 24 * time.Hour
 	}
+	if opts.Backend == nil {
+		opts.Backend = resolver.NewBatch()
+	}
 	w, err := topo.Build(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: building world: %w", err)
@@ -182,40 +185,17 @@ func (s *EnvSeries) Advance() (*Epoch, error) {
 	s.next++
 	w := s.World
 
-	// A live-feeding backend consumes observations online: per epoch, each
-	// campaign feeds its own fresh session plus a shared union session, so
-	// every dataset's alias sets — Active, Censys, and the union — are fully
-	// resolved the moment the scans return. This is the live per-dataset view
-	// wiring the resolution daemon and the distributed coordinator build on.
+	// Per epoch, each campaign feeds its own fresh session plus a shared
+	// union session as the scans run, so every dataset's alias sets —
+	// Active, Censys, and the union — are fully resolved the moment the
+	// scans return.
+	ses, err := openSessions(s.opts.Backend)
+	if err != nil {
+		return nil, err
+	}
 	activeOpts, censysOpts := s.opts.Scan, s.opts.Scan
-	var activeSes, censysSes, unionSes resolver.Session
-	if resolver.FeedsLive(s.opts.Backend) {
-		open := func() (resolver.Session, error) {
-			return s.opts.Backend.Open(resolver.Options{})
-		}
-		var err error
-		if activeSes, err = open(); err != nil {
-			return nil, fmt.Errorf("experiments: opening live session: %w", err)
-		}
-		if censysSes, err = open(); err != nil {
-			activeSes.Close()
-			return nil, fmt.Errorf("experiments: opening live session: %w", err)
-		}
-		if unionSes, err = open(); err != nil {
-			activeSes.Close()
-			censysSes.Close()
-			return nil, fmt.Errorf("experiments: opening live session: %w", err)
-		}
-		activeOpts.Sink = TeeSink(sessionSink{activeSes}, sessionSink{unionSes})
-		censysOpts.Sink = TeeSink(sessionSink{censysSes}, sessionSink{unionSes})
-	}
-	closeLive := func() {
-		for _, ls := range []resolver.Session{activeSes, censysSes, unionSes} {
-			if ls != nil {
-				ls.Close()
-			}
-		}
-	}
+	activeOpts.Sink = TeeSink(sessionSink{ses[0]}, sessionSink{ses[2]})
+	censysOpts.Sink = TeeSink(sessionSink{ses[1]}, sessionSink{ses[2]})
 
 	lg := s.opts.Log
 	var counter *obsCounter
@@ -224,9 +204,8 @@ func (s *EnvSeries) Advance() (*Epoch, error) {
 		// spill) is the only place observations land — scan workers discard
 		// everything after the sinks have seen it. The counting sink keeps
 		// the Censys SSH population size for the non-standard-port model.
-		var err error
 		if lg, err = s.ensureSpill(); err != nil {
-			closeLive()
+			closeSessions(ses)
 			return nil, err
 		}
 		activeOpts.DiscardObs, censysOpts.DiscardObs = true, true
@@ -249,7 +228,7 @@ func (s *EnvSeries) Advance() (*Epoch, error) {
 
 	censys, err := CollectCensys(w, censysOpts)
 	if err != nil {
-		closeLive()
+		closeSessions(ses)
 		return nil, err
 	}
 	w.Clock.Advance(s.opts.SnapshotGap)
@@ -259,7 +238,7 @@ func (s *EnvSeries) Advance() (*Epoch, error) {
 	}
 	active, err := CollectActive(w, activeOpts)
 	if err != nil {
-		closeLive()
+		closeSessions(ses)
 		return nil, err
 	}
 	if counter != nil {
@@ -283,19 +262,15 @@ func (s *EnvSeries) Advance() (*Epoch, error) {
 		env.Censys.stream = &streamSource{log: lg, epoch: e, censys: true, readahead: ra}
 		env.Both.stream = &streamSource{log: lg, epoch: e, active: true, censys: true, readahead: ra}
 		if err := lg.FoldEpoch(e); err != nil {
-			closeLive()
+			closeSessions(ses)
 			return nil, fmt.Errorf("experiments: folding epoch %d: %w", e, err)
 		}
-		if err := env.sealStreamed(s.opts.Backend, activeSes, censysSes, unionSes); err != nil {
-			closeLive()
+		if err := env.sealStreamed(s.opts.Backend, ses); err != nil {
+			closeSessions(ses)
 			return nil, fmt.Errorf("experiments: sealing epoch %d: %w", e, err)
 		}
-	} else if err := env.seal(s.opts.Backend, activeSes, censysSes, unionSes); err != nil {
-		// Each live session saw exactly its dataset's observations (the
-		// union session the union of both campaigns), so sealing adopts them
-		// as the datasets' resolution state — byte-identical to a batch
-		// regroup of the sealed data.
-		closeLive()
+	} else if err := env.seal(s.opts.Backend, ses); err != nil {
+		closeSessions(ses)
 		return nil, fmt.Errorf("experiments: sealing epoch %d: %w", e, err)
 	}
 	ep := &Epoch{Env: env, Stats: stats, Truth: w.Truth.Snapshot()}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"net/netip"
 	"sync"
 
@@ -68,44 +69,40 @@ type datasetViews struct {
 	allAddrs [3]memo[[]netip.Addr]           // cross-protocol address universes
 
 	// session is the open resolver session every grouping and merge in this
-	// dataset's views routes through; sessions are concurrency-safe, so no
-	// extra serialisation is needed here.
+	// dataset's views routes through. It holds exactly the dataset's
+	// observations; sessions are concurrency-safe, so no extra serialisation
+	// is needed here.
 	session resolver.Session
-	// live records that session was fed observation-by-observation during
-	// collection (a live-feeding backend — streaming or distributed), so its
-	// resolution state already covers the dataset and Sets never replays the
-	// sealed observations into it.
-	live bool
 }
 
-// Seal freezes the dataset for analysis with a fresh batch resolver session:
-// mutation panics from here on, and derived views are cached. Sealing twice
-// is a no-op.
-func (d *Dataset) Seal() { d.SealWith(nil, false) }
-
-// SealWith is Seal with an explicit open resolver session; nil selects a
-// fresh batch session. live marks a session that was already fed during
-// collection (see datasetViews.live). The session choice never changes a
-// single byte of any view — only the execution strategy (see
-// internal/resolver).
-func (d *Dataset) SealWith(s resolver.Session, live bool) {
+// Seal freezes the dataset for analysis on a fresh batch resolver session
+// fed the dataset's observations: mutation panics from here on, and derived
+// views are cached. Sealing twice is a no-op.
+func (d *Dataset) Seal() {
 	if d.views == nil {
-		if s == nil {
-			s = mustBatchSession()
-			live = false
-		}
-		d.views = &datasetViews{session: s, live: live}
+		s, _ := resolver.NewBatch().Open(resolver.Options{}) // in-process: never fails
+		d.feed(s)
+		d.SealWith(s)
 	}
 }
 
-// mustBatchSession opens a session on a fresh batch backend — the default
-// resolver, whose Open never fails.
-func mustBatchSession() resolver.Session {
-	s, err := resolver.NewBatch().Open(resolver.Options{})
-	if err != nil {
-		panic("experiments: batch backend refused to open: " + err.Error())
+// SealWith is Seal with an explicit open resolver session that already
+// holds the dataset's observations — collection feeds it as the scans run.
+// The session choice never changes a single byte of any view — only the
+// execution strategy (see internal/resolver).
+func (d *Dataset) SealWith(s resolver.Session) {
+	if d.views == nil {
+		d.views = &datasetViews{session: s}
 	}
-	return s
+}
+
+// feed streams the dataset's in-RAM observations into s.
+func (d *Dataset) feed(s resolver.Session) {
+	for _, p := range ident.Protocols {
+		for _, o := range d.Obs[p] {
+			s.Observe(o)
+		}
+	}
 }
 
 // Sealed reports whether the dataset has been sealed.
@@ -206,38 +203,44 @@ type MIDARResult struct {
 	Tally midar.Tally
 }
 
-// seal freezes all three datasets after collection on one resolver backend;
-// nil selects batch. Each dataset gets its own open session (and the env
-// keeps one for the cross-dataset merges), so the concurrent render paths
-// keep the merge parallelism the per-dataset tables used to provide. When
-// collection already fed live sessions (a live-feeding backend), they are
-// passed in and adopted as the datasets' resolution state.
-func (e *Env) seal(b resolver.Backend, activeSes, censysSes, unionSes resolver.Session) error {
-	if b == nil {
-		b = resolver.NewBatch()
+// openSessions opens one session per dataset on b — Active, Censys and
+// their union, in that order — closing the ones already open if one fails.
+func openSessions(b resolver.Backend) ([3]resolver.Session, error) {
+	var ses [3]resolver.Session
+	for i := range ses {
+		s, err := b.Open(resolver.Options{})
+		if err != nil {
+			closeSessions(ses)
+			return ses, fmt.Errorf("experiments: opening resolver session: %w", err)
+		}
+		ses[i] = s
 	}
-	e.backend = b
-	open := func() (resolver.Session, error) { return b.Open(resolver.Options{}) }
-	s, err := open()
+	return ses, nil
+}
+
+// closeSessions closes every open session in ses.
+func closeSessions(ses [3]resolver.Session) {
+	for _, s := range ses {
+		if s != nil {
+			s.Close()
+		}
+	}
+}
+
+// seal freezes all three datasets on the sessions that hold their
+// observations (see openSessions for the order) and opens the env's own
+// session on b for the cross-dataset merges. Each dataset keeps its own
+// session, so the concurrent render paths keep the merge parallelism the
+// per-dataset tables used to provide.
+func (e *Env) seal(b resolver.Backend, ses [3]resolver.Session) error {
+	s, err := b.Open(resolver.Options{})
 	if err != nil {
 		return err
 	}
-	e.session = s
-	live := activeSes != nil
-	if !live {
-		if activeSes, err = open(); err != nil {
-			return err
-		}
-		if censysSes, err = open(); err != nil {
-			return err
-		}
-		if unionSes, err = open(); err != nil {
-			return err
-		}
-	}
-	e.Active.SealWith(activeSes, live)
-	e.Censys.SealWith(censysSes, live)
-	e.Both.SealWith(unionSes, live)
+	e.backend, e.session = b, s
+	e.Active.SealWith(ses[0])
+	e.Censys.SealWith(ses[1])
+	e.Both.SealWith(ses[2])
 	return nil
 }
 

@@ -3,6 +3,8 @@ package resolver
 import (
 	"fmt"
 	"net/netip"
+	"slices"
+	"sync"
 	"testing"
 
 	"aliaslimit/internal/alias"
@@ -60,10 +62,8 @@ func setsEqual(t *testing.T, want, got []alias.Set, label string) {
 // TestGroupBackendsMatchSortReference is the cross-layer determinism gate
 // for the merge-as-you-go rewrite: on the same corpus, the retired
 // global-sort implementation (alias.GroupSorted) and every session's Sets —
-// batch's pooled arena, streaming's online buckets, sharded at worker counts
-// 1, 2, and 7 — must produce byte-identical alias sets per protocol, across
-// two seeds. Run under -race this also exercises the sharded fold's
-// concurrency.
+// every backend name, and the sharded session at 1, 2 and 7 shards — must
+// produce byte-identical alias sets per protocol, across two seeds.
 func TestGroupBackendsMatchSortReference(t *testing.T) {
 	for _, seed := range []uint64{5, 91} {
 		obs := determinismCorpus(seed, 5000)
@@ -92,30 +92,30 @@ func TestMergeBackendsAgreeOnGroupedCorpus(t *testing.T) {
 	}
 }
 
-// TestBatchSetsPoolReuse hammers one batch session from concurrent
-// goroutines: pooled arenas must never leak state between calls (run under
-// -race this is also the pool's concurrency proof).
+// TestBatchSetsPoolReuse hammers one session's Sets from concurrent
+// goroutines, on one shard and on seven: snapshots must never leak state
+// between calls (run under -race this is also the shards' concurrency
+// proof).
 func TestBatchSetsPoolReuse(t *testing.T) {
-	s, err := NewBatch().Open(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
 	obs := determinismCorpus(29, 2000)
-	for _, o := range obs {
-		s.Observe(o)
-	}
 	want := alias.GroupSorted(protoObs(obs, ident.SSH))
-	done := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			for i := 0; i < 20; i++ {
-				setsEqual(t, want, s.Sets(ident.SSH), "concurrent pooled sets")
-			}
-		}()
-	}
-	for g := 0; g < 4; g++ {
-		<-done
+	for _, ls := range shardedSessions(t, 1, 7) {
+		for _, o := range obs {
+			ls.sess.Observe(o)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 20; i++ {
+					if !slices.Equal(keysOf(want), keysOf(ls.sess.Sets(ident.SSH))) {
+						t.Errorf("%s: concurrent snapshot %d differs from the reference", ls.label, i)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }

@@ -30,32 +30,29 @@
 // state lives in other processes (internal/distres) plugs into all of them
 // without special cases, which the old blocking interface could not express.
 //
-// The in-process backends differ only in execution strategy, never output:
+// One in-process session type serves every built-in backend name. Its
+// state is a set of shards per protocol, each a mutex plus an alias.Grouper
+// arena: Observe folds the observation into its identifier's sorted bucket
+// at once (routing by ShardRoute when there is more than one shard), Sets
+// concatenates the shard snapshots and sorts them canonically, and Merged is
+// alias.MergeWith's union-find over one address-interning table the session
+// keeps. The names differ only in shard count:
 //
-//   - batch: the memoized single-pass strategy the repository grew up with —
-//     observations buffer locally, Sets folds them through a pooled
-//     merge-as-you-go grouping arena, Merged is a union-find over a
-//     persistent address-interning table. The right default for one-shot
-//     analysis over a sealed dataset.
-//   - streaming: fully online — every Observe lands in its identifier's
-//     sorted bucket immediately (one Stream per protocol), so alias sets
-//     exist the moment the scan ends; Merged feeds an incremental union-find
-//     (MergeStream). The same machinery gives the longitudinal layer its
-//     "incremental" (latest-observation-wins) merge strategy.
-//   - sharded: identifier-space partitioning across worker goroutines with a
-//     deterministic cross-shard merge — the in-process scale-out strategy.
-//     A group never straddles shards because observations route by
-//     identifier hash.
+//   - batch and streaming: one shard. Both names open the same session; they
+//     are kept because the CI matrix, the scenario reports and the
+//     benchmark's per-backend metrics are keyed on them.
+//   - sharded: Options.Workers shards (else the count New was given, else
+//     GOMAXPROCS), capped at 256.
 //
 // Out-of-process backends register themselves by name (Register); linking
-// internal/distres adds "distributed", the multi-process incarnation of
-// sharded (worker processes instead of goroutines, the same hash route and
-// merge shape over a binary wire protocol).
+// internal/distres adds "distributed", the multi-process incarnation of the
+// sharded session (worker processes instead of shards, the same hash route
+// over a binary wire protocol) and the one backend that can fail.
 //
 // Every session finishes by canonicalising through alias.SortSets, so for
 // identical inputs all backends produce byte-identical alias sets at any
-// worker count — the property the scenario matrix asserts on every preset
-// and the per-backend benchmarks price.
+// shard or worker count — the property the scenario matrix asserts on every
+// preset and the per-backend benchmarks price.
 package resolver
 
 import (
@@ -82,10 +79,9 @@ type Backend interface {
 // Options tune one session at Open time. The zero value is always valid and
 // selects the backend's defaults.
 type Options struct {
-	// Workers overrides the backend's fan-out for this session — shard
-	// goroutines for sharded, worker processes for distributed; 0 keeps the
-	// count the factory was constructed with. Ignored by backends that do
-	// not fan out.
+	// Workers overrides the backend's fan-out for this session — shards for
+	// sharded, worker processes for distributed; 0 keeps the count the
+	// factory was constructed with. Ignored by backends that do not fan out.
 	Workers int
 }
 
@@ -110,21 +106,6 @@ type Session interface {
 	// Close releases the session and reports the first error the session
 	// absorbed (nil for the in-process backends). Idempotent.
 	Close() error
-}
-
-// LiveFeeder is implemented by backends whose sessions should be fed
-// observations online during collection: Observe is cheap (constant-time
-// local work), so the scan worker pools stream into the session directly and
-// alias sets exist the moment the sweep ends. Backends without the marker
-// are fed lazily from the sealed dataset at first Sets call.
-type LiveFeeder interface {
-	FeedLive() bool
-}
-
-// FeedsLive reports whether b wants its sessions fed during collection.
-func FeedsLive(b Backend) bool {
-	f, ok := b.(LiveFeeder)
-	return ok && f.FeedLive()
 }
 
 // registry holds the backends registered beyond the three built-ins.
@@ -172,7 +153,7 @@ func Names() []string {
 }
 
 // New resolves a backend factory by name. The empty name selects the batch
-// default; workers bounds the fan-out of backends that shard (goroutines for
+// default; workers bounds the fan-out of backends that shard (shards for
 // sharded, processes for distributed; 0 picks each backend's default) and is
 // ignored by the others.
 func New(name string, workers int) (Backend, error) {
@@ -180,9 +161,9 @@ func New(name string, workers int) (Backend, error) {
 	case "", "batch":
 		return NewBatch(), nil
 	case "streaming":
-		return NewStreaming(), nil
+		return inProcess{name: name, shards: 1}, nil
 	case "sharded":
-		return NewSharded(workers), nil
+		return inProcess{name: name, shards: workers, fanOut: true}, nil
 	}
 	registry.mu.Lock()
 	factory, ok := registry.factories[name]

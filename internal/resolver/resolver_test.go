@@ -3,6 +3,8 @@ package resolver
 import (
 	"fmt"
 	"net/netip"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -65,29 +67,49 @@ type labelledSession struct {
 	sess  Session
 }
 
-// sessionsUnderTest opens one session per in-process backend, including
-// several sharded worker counts.
+// openSession opens one session on b and closes it when the test ends.
+func openSession(t *testing.T, label string, b Backend) Session {
+	t.Helper()
+	s, err := b.Open(Options{})
+	if err != nil {
+		t.Fatalf("%s: Open: %v", label, err)
+	}
+	t.Cleanup(func() {
+		if err := s.Close(); err != nil {
+			t.Errorf("%s: Close: %v", label, err)
+		}
+	})
+	return s
+}
+
+// shardedSessions opens one sharded session per shard count.
+func shardedSessions(t *testing.T, shards ...int) []labelledSession {
+	t.Helper()
+	var out []labelledSession
+	for _, w := range shards {
+		b, err := New("sharded", w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("sharded-%d", w)
+		out = append(out, labelledSession{label, openSession(t, label, b)})
+	}
+	return out
+}
+
+// sessionsUnderTest opens one session per registered backend name, plus the
+// sharded session at 1, 2 and 7 shards.
 func sessionsUnderTest(t *testing.T) []labelledSession {
 	t.Helper()
 	var out []labelledSession
-	add := func(label string, b Backend, opts Options) {
-		s, err := b.Open(opts)
+	for _, name := range Names() {
+		b, err := New(name, 0)
 		if err != nil {
-			t.Fatalf("%s: Open: %v", label, err)
+			t.Fatal(err)
 		}
-		t.Cleanup(func() {
-			if err := s.Close(); err != nil {
-				t.Errorf("%s: Close: %v", label, err)
-			}
-		})
-		out = append(out, labelledSession{label, s})
+		out = append(out, labelledSession{name, openSession(t, name, b)})
 	}
-	add("batch", NewBatch(), Options{})
-	add("streaming", NewStreaming(), Options{})
-	for _, w := range []int{1, 2, 7} {
-		add(fmt.Sprintf("sharded-%d", w), NewSharded(w), Options{})
-	}
-	return out
+	return append(out, shardedSessions(t, 1, 2, 7)...)
 }
 
 // TestSessionGroupEquivalence: every backend's session groups the same
@@ -160,54 +182,49 @@ func TestSessionRoutesPerProtocol(t *testing.T) {
 	}
 }
 
-// TestStreamConcurrentFeed: observations fed from many goroutines in racing
-// order still finalise into the batch partition — the live-collection
-// contract of the low-level stream handle.
+// TestStreamConcurrentFeed: all three protocols fed from many goroutines in
+// racing order still finalise, per protocol, into the reference grouping —
+// on one shard and on seven.
 func TestStreamConcurrentFeed(t *testing.T) {
-	obs := corpus(3, 4000)
-	want := alias.Group(obs)
-	st := NewStream()
-	var wg sync.WaitGroup
-	const feeders = 8
-	for f := 0; f < feeders; f++ {
-		wg.Add(1)
-		go func(f int) {
-			defer wg.Done()
-			for i := f; i < len(obs); i += feeders {
-				st.Observe(obs[i])
-			}
-		}(f)
-	}
-	wg.Wait()
-	requireSameSets(t, "concurrent stream", want, st.Sets())
-	if st.Len() != len(want) {
-		t.Fatalf("stream tracked %d identifiers, want %d", st.Len(), len(want))
+	obs := determinismCorpus(3, 4000)
+	for _, ls := range shardedSessions(t, 1, 7) {
+		var wg sync.WaitGroup
+		const feeders = 8
+		for f := 0; f < feeders; f++ {
+			wg.Add(1)
+			go func(f int) {
+				defer wg.Done()
+				for i := f; i < len(obs); i += feeders {
+					ls.sess.Observe(obs[i])
+				}
+			}(f)
+		}
+		wg.Wait()
+		for _, p := range ident.Protocols {
+			want := alias.Group(protoObs(obs, p))
+			requireSameSets(t, fmt.Sprintf("%s concurrent feed proto %s", ls.label, p), want, ls.sess.Sets(p))
+		}
 	}
 }
 
-// TestMergeStreamOrderInsensitive: absorbing partitions in any order or
-// granularity yields identical components.
-func TestMergeStreamOrderInsensitive(t *testing.T) {
+// TestSessionMergedOrderInsensitive: merging partitions in any order or
+// granularity yields alias.Merge's components, and repeated merges through
+// one session's persistent interning table never leak state between calls.
+func TestSessionMergedOrderInsensitive(t *testing.T) {
 	a := alias.Group(corpus(5, 1500))
 	b := alias.Group(corpus(6, 1500))
 	want := alias.Merge(a, b)
-
-	fwd := NewMergeStream()
-	fwd.Absorb(a)
-	fwd.Absorb(b)
-	requireSameSets(t, "forward", want, fwd.Sets())
-
-	rev := NewMergeStream()
-	rev.Absorb(b)
-	rev.Absorb(a)
-	requireSameSets(t, "reverse", want, rev.Sets())
-
-	oneByOne := NewMergeStream()
+	oneByOne := make([][]alias.Set, 0, len(a)+1)
 	for _, s := range a {
-		oneByOne.Absorb([]alias.Set{s})
+		oneByOne = append(oneByOne, []alias.Set{s})
 	}
-	oneByOne.Absorb(b)
-	requireSameSets(t, "one-by-one", want, oneByOne.Sets())
+	oneByOne = append(oneByOne, b)
+	for _, ls := range sessionsUnderTest(t) {
+		requireSameSets(t, ls.label+" forward", want, ls.sess.Merged(a, b))
+		requireSameSets(t, ls.label+" reverse", want, ls.sess.Merged(b, a))
+		requireSameSets(t, ls.label+" one-by-one", want, ls.sess.Merged(oneByOne...))
+		requireSameSets(t, ls.label+" one side", alias.Merge(b), ls.sess.Merged(b))
+	}
 }
 
 // TestLatestStreamReplaces: a fresh observation of an address with a new
@@ -234,40 +251,63 @@ func TestLatestStreamReplaces(t *testing.T) {
 
 // TestStreamSnapshotDuringFeed: Sets may interleave with Observe — the
 // session-safe contract the resolution daemon relies on. Every snapshot is a
-// well-formed partition, and the final snapshot matches the batch grouping.
+// well-formed partition, and the final snapshot matches the reference
+// grouping, on one shard and on seven.
 func TestStreamSnapshotDuringFeed(t *testing.T) {
 	obs := corpus(7, 4000)
 	want := alias.Group(obs)
-	st := NewStream()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for _, o := range obs {
-			st.Observe(o)
-		}
-	}()
-	// Query mid-ingest: each snapshot must be internally consistent (sorted,
-	// canonical) even while observations keep landing.
-	for i := 0; i < 50; i++ {
-		sets := st.Sets()
-		for j := 1; j < len(sets); j++ {
-			if string(sets[j-1].Key()) > string(sets[j].Key()) {
-				t.Fatalf("snapshot %d not in canonical order at set %d", i, j)
+	for _, ls := range shardedSessions(t, 1, 7) {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for _, o := range obs {
+				ls.sess.Observe(o)
 			}
+		}()
+		// Query mid-ingest: each snapshot must be internally consistent
+		// (in canonical order) even while observations keep landing.
+		for i := 0; i < 50; i++ {
+			sets := ls.sess.Sets(ident.SSH)
+			canon := slices.Clone(sets)
+			alias.SortSets(canon)
+			requireSameSets(t, fmt.Sprintf("%s snapshot %d", ls.label, i), canon, sets)
 		}
+		<-done
+		requireSameSets(t, ls.label+" final snapshot", want, ls.sess.Sets(ident.SSH))
 	}
-	<-done
-	requireSameSets(t, "final snapshot", want, st.Sets())
 }
 
-// TestLiveFeeder: the streaming backend volunteers for live collection
-// feeds, the buffering backends do not.
-func TestLiveFeeder(t *testing.T) {
-	if !FeedsLive(NewStreaming()) {
-		t.Fatal("streaming backend must feed live")
-	}
-	if FeedsLive(NewBatch()) || FeedsLive(NewSharded(2)) {
-		t.Fatal("buffering backends must not feed live")
+// TestShardCounts: batch and streaming open one shard; sharded opens the
+// count New was given, overridden by Options.Workers, defaulting to
+// GOMAXPROCS and capped at maxShards.
+func TestShardCounts(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		workers int
+		opts    Options
+		want    int
+	}{
+		{"batch", 0, Options{Workers: 4}, 1},
+		{"streaming", 3, Options{}, 1},
+		{"sharded", 7, Options{}, 7},
+		{"sharded", 7, Options{Workers: 2}, 2},
+		{"sharded", 0, Options{}, runtime.GOMAXPROCS(0)},
+		{"sharded", 1000, Options{}, maxShards},
+	} {
+		b, err := New(tc.name, tc.workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := b.Open(tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p, shards := range s.(*session).shards {
+			if len(shards) != tc.want {
+				t.Fatalf("New(%q, %d).Open(%+v): proto %d has %d shards, want %d",
+					tc.name, tc.workers, tc.opts, p, len(shards), tc.want)
+			}
+		}
 	}
 }
 
@@ -301,8 +341,7 @@ type fakeBackend struct{ workers int }
 
 func (fakeBackend) Name() string { return "testfake" }
 func (f fakeBackend) Open(Options) (Session, error) {
-	s, _ := batchBackend{}.Open(Options{})
-	return s, nil
+	return NewBatch().Open(Options{})
 }
 
 // TestRegisterExtendsRegistry: a registered backend resolves by name, lists
@@ -336,8 +375,9 @@ func TestRegisterExtendsRegistry(t *testing.T) {
 // synthetic corpus.
 func BenchmarkBackendGroup(b *testing.B) {
 	obs := corpus(1, 20000)
-	for _, be := range []Backend{NewBatch(), NewStreaming(), NewSharded(0)} {
-		b.Run(be.Name(), func(b *testing.B) {
+	for _, name := range Names() {
+		be, _ := New(name, 0)
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				s, _ := be.Open(Options{})
@@ -356,9 +396,10 @@ func BenchmarkBackendMerge(b *testing.B) {
 	g1 := alias.Group(corpus(1, 10000))
 	g2 := alias.Group(corpus(2, 10000))
 	g3 := alias.Group(corpus(3, 4000))
-	for _, be := range []Backend{NewBatch(), NewStreaming(), NewSharded(0)} {
+	for _, name := range Names() {
+		be, _ := New(name, 0)
 		s, _ := be.Open(Options{})
-		b.Run(be.Name(), func(b *testing.B) {
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				s.Merged(g1, g2, g3)

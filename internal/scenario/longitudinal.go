@@ -86,8 +86,8 @@ type MergeScore struct {
 	// Strategy is "naive-union" (merge every epoch's alias sets, stale
 	// identifiers and all), "decay-weighted" (per-address identifier
 	// history with recency-decayed weights; stale claims lose to fresh
-	// observations), or "incremental" (the streaming backend's online
-	// last-write-wins stream — O(addresses) state, single pass, no history
+	// observations), or "incremental" (an online last-write-wins stream,
+	// resolver.LatestStream — O(addresses) state, single pass, no history
 	// retained; coincides with decay-weighted outcomes at decay factors
 	// where the freshest observation always outweighs the accumulated
 	// past, and diverges as decay approaches 1).
@@ -564,26 +564,16 @@ func decayWeighted(views []*epochView, decay float64) []alias.Set {
 		}
 		perProto[i] = alias.Group(obs)
 	}
-	var merged []alias.Set
-	for _, v4 := range []bool{true, false} {
-		var inputs [][]alias.Set
-		for _, sets := range perProto {
-			inputs = append(inputs, alias.NonSingleton(alias.FilterFamily(sets, v4)))
-		}
-		merged = append(merged, alias.NonSingleton(alias.Merge(inputs...))...)
-	}
-	return merged
+	return unionByFamily(perProto)
 }
 
-// incremental is the streaming resolver's longitudinal strategy: one online
-// last-write-wins stream per protocol consumes the epochs in chronological
-// order, so an address renumbered in a later epoch sheds its stale
+// incremental is the online longitudinal strategy: one last-write-wins
+// stream per protocol consumes the epochs in chronological order, so an address renumbered in a later epoch sheds its stale
 // identifier the moment the fresh observation arrives. Unlike
 // decay-weighted it keeps no per-epoch history — O(addresses) state, single
 // pass — which is what makes it viable as an always-on resolver between
 // measurement rounds rather than a batch job over the archive. The final
-// cross-protocol combination absorbs the per-family partitions through the
-// same streaming merge the backend uses.
+// cross-protocol combination is alias.Merge over the per-family partitions.
 func incremental(views []*epochView) []alias.Set {
 	var perProto [3][]alias.Set
 	for i, proto := range scoreProtos {
@@ -598,13 +588,19 @@ func incremental(views []*epochView) []alias.Set {
 		}
 		perProto[i] = ls.Sets()
 	}
+	return unionByFamily(perProto)
+}
+
+// unionByFamily is the cross-protocol union of per-protocol partitions, one
+// family at a time: the non-singleton IPv4 sets, then the IPv6 ones.
+func unionByFamily(perProto [3][]alias.Set) []alias.Set {
 	var merged []alias.Set
 	for _, v4 := range []bool{true, false} {
-		ms := resolver.NewMergeStream()
+		var inputs [][]alias.Set
 		for _, sets := range perProto {
-			ms.Absorb(alias.NonSingleton(alias.FilterFamily(sets, v4)))
+			inputs = append(inputs, alias.NonSingleton(alias.FilterFamily(sets, v4)))
 		}
-		merged = append(merged, alias.NonSingleton(ms.Sets())...)
+		merged = append(merged, alias.NonSingleton(alias.Merge(inputs...))...)
 	}
 	return merged
 }

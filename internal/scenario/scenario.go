@@ -41,7 +41,7 @@ type Options struct {
 	Scale float64
 	// Quick selects the CI-sized scale (ignored when Scale is set).
 	Quick bool
-	// Workers / Parallelism tune collection exactly as aliaslimit.Options.
+	// Workers / Parallelism tune collection exactly as aliaslimit.Common.
 	Workers, Parallelism int
 	// Backend names the resolver strategy ("batch", "streaming", "sharded",
 	// "distributed"; empty picks batch). Every backend yields byte-identical
@@ -50,7 +50,7 @@ type Options struct {
 	// scenario matrix compares. The distributed backend runs real shard
 	// worker processes (see internal/distres), which this package links in.
 	Backend string
-	// ShardWorkers sizes the scaled-out backends: goroutines for "sharded"
+	// ShardWorkers sizes the scaled-out backends: shards for "sharded"
 	// (0 tracks GOMAXPROCS), worker processes for "distributed" (0 picks
 	// distres.DefaultWorkers). Ignored by batch and streaming.
 	ShardWorkers int

@@ -92,8 +92,8 @@ func RunStream(d Dialer, targets <-chan netip.Addr, m Module, opts Options) []Gr
 // flight. With multiple workers the calls are concurrent and carry no
 // ordering guarantee, so emit must be safe for concurrent use and
 // order-insensitive; the returned slice is unchanged by the tap. It is how
-// a streaming resolver backend consumes observations online instead of
-// waiting for the sorted batch.
+// a resolver session consumes observations online instead of waiting for
+// the sorted batch.
 func RunStreamEmit(d Dialer, targets <-chan netip.Addr, m Module, opts Options, emit func(Grab)) []Grab {
 	return runStream(d, targets, m, opts, emit, true)
 }

@@ -6,8 +6,8 @@
 #      memory limit — the reference digest. Its peak RSS is ~270 MiB at this
 #      scale; the streamed legs run under GOMEMLIMIT targets far below that.
 #   2. STREAMED: the same world with -stream-collect -backend streaming under
-#      GOMEMLIMIT=96MiB. The scan spills observations to disk and the
-#      resolver is fed by bounded-batch replay, so the run must complete
+#      GOMEMLIMIT=96MiB. The scan spills observations to disk and feeds the
+#      resolver sessions as it goes, so the run must complete
 #      under a heap target the in-RAM path cannot satisfy — and its
 #      sets_digest must equal leg 1's byte for byte.
 #   3. X100: megascale-x100 (quick) streamed under GOMEMLIMIT=160MiB — the
@@ -15,11 +15,11 @@
 #      refused (the preset's contract), and the streamed run must finish with
 #      a non-empty digest.
 #
-# The streaming backend is the right partner for the memory gate: batch-style
-# sessions buffer the whole observation load before grouping, while the
-# streaming backend folds observations as the replay feeds them. Digest
-# equality across backends is enforced separately (backend-equivalence job),
-# which is what makes the cross-leg comparison here valid.
+# Every in-process session folds observations as they arrive, so any
+# in-process backend name suits the memory gate; the streamed legs name
+# streaming. Digest equality across backends is enforced separately
+# (backend-equivalence job), which is what makes the cross-leg comparison
+# here valid.
 #
 # Set BOUNDED_MEMORY_DIR to keep the work directory (CI uploads it as an
 # artifact); otherwise a temp directory is used and cleaned up.
