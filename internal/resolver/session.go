@@ -12,8 +12,8 @@ import (
 // numProto is the number of identifier protocols sessions index by.
 const numProto = 3
 
-// maxShards caps a session's shard count; more shards than any host has
-// cores only add snapshot work.
+// maxShards caps a session's shard count: past the core count, extra shards
+// only add snapshot work.
 const maxShards = 256
 
 // inProcess is the factory behind every built-in backend name: all of them
